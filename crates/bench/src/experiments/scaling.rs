@@ -541,9 +541,9 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
     ));
 
     // --- BENCH_sim.json ---
-    // Rendered with the tiny JSON builder below (keys and values here are
-    // plain identifiers and finite numbers, nothing needs escaping), so
-    // this file has no opinion about which `serde_json` is installed.
+    // Rendered with the workspace's tiny JSON builder (keys and values
+    // here are plain identifiers and finite numbers, nothing needs
+    // escaping).
     let current = JsonObj::new().entries(rows.iter().map(|r| {
         (
             r.name.to_string(),

@@ -343,7 +343,7 @@ pub struct SubmitWindow {
 /// the sustained sweep.
 #[derive(Clone, Debug)]
 pub struct AdmissionProbe {
-    /// The limits the daemon advertised over `Hello` (protocol v3).
+    /// The limits the daemon advertised over `Hello`.
     pub limits: ServerLimits,
     /// Single-connection pipelined burst size (2 × per-conn cap + 4).
     pub pipelined_requests: usize,
@@ -946,8 +946,6 @@ mod tests {
             ],
             admission: AdmissionProbe {
                 limits: ServerLimits {
-                    protocol_min: 1,
-                    protocol_max: 3,
                     workers: 2,
                     max_pending_jobs: 8,
                     max_pending_bytes: 64 << 20,

@@ -26,7 +26,6 @@
 //!   results are bit-identical to [`run`]'s at any shard/thread count.
 
 use arbodom_graph::{Graph, NodeId};
-use bytes::BytesMut;
 
 use crate::mailbox::{Delivery, MailArena};
 use crate::obs::SimObs;
@@ -178,7 +177,7 @@ impl Router<'_> {
         v: NodeId,
         round: usize,
         outgoing: Vec<Outgoing<M>>,
-        scratch: &mut BytesMut,
+        scratch: &mut Vec<u8>,
         stats: &mut SendStats,
         mut stage: impl FnMut(Delivery<M>),
     ) -> Result<(), SimError> {
@@ -297,7 +296,7 @@ pub fn run<P: NodeProgram>(
     };
     let mut arena: MailArena<P::Message> = MailArena::new(n);
     let mut staged: Vec<Delivery<P::Message>> = Vec::new();
-    let mut scratch = BytesMut::new();
+    let mut scratch = Vec::new();
     let mut telemetry = Telemetry {
         bandwidth_budget_bits: router.budget,
         ..Telemetry::default()
@@ -563,8 +562,8 @@ where
     // Per-worker encode scratch, persistent across rounds (indexed by the
     // pool worker id, so each buffer is reused by exactly one worker per
     // epoch).
-    let scratches: Vec<Mutex<BytesMut>> = (0..pool.threads())
-        .map(|_| Mutex::new(BytesMut::new()))
+    let scratches: Vec<Mutex<Vec<u8>>> = (0..pool.threads())
+        .map(|_| Mutex::new(Vec::new()))
         .collect();
     // Decentralized halting: the only shared halt state is this counter;
     // the flags live in the shards that own them.

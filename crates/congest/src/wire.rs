@@ -6,8 +6,6 @@
 //! small, which matters for algorithms (like the paper's) whose steady-state
 //! messages are a couple of flag bits.
 
-use bytes::{Buf, BufMut, BytesMut};
-
 use crate::WireError;
 
 /// A message that can be serialized to and from bytes.
@@ -17,7 +15,7 @@ use crate::WireError;
 /// actually delivering the decoded bytes.
 pub trait Wire: Sized {
     /// Appends this message's encoding to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    fn encode(&self, buf: &mut Vec<u8>);
 
     /// Decodes one message from the front of `buf`, consuming its bytes.
     ///
@@ -29,7 +27,7 @@ pub trait Wire: Sized {
 
     /// Size of the encoding in bits.
     fn encoded_bits(&self) -> usize {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         self.encode(&mut buf);
         buf.len() * 8
     }
@@ -54,7 +52,7 @@ pub trait Wire: Sized {
 /// Panics, with a message naming the violated property, if any check
 /// fails.
 pub fn assert_wire_conformance<M: Wire + PartialEq + std::fmt::Debug>(msg: &M) {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     msg.encode(&mut buf);
     assert_eq!(
         msg.encoded_bits(),
@@ -82,15 +80,15 @@ pub fn assert_wire_conformance<M: Wire + PartialEq + std::fmt::Debug>(msg: &M) {
 }
 
 /// Writes a LEB128-style unsigned varint.
-pub fn put_uvarint(buf: &mut BytesMut, mut v: u64) {
+pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -104,10 +102,8 @@ pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64, WireError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        if buf.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        let byte = buf.get_u8();
+        let (&byte, rest) = buf.split_first().ok_or(WireError::Truncated)?;
+        *buf = rest;
         if shift >= 64 {
             return Err(WireError::Invalid("varint overflow"));
         }
@@ -120,8 +116,8 @@ pub fn get_uvarint(buf: &mut &[u8]) -> Result<u64, WireError> {
 }
 
 /// Writes a `bool` as one byte.
-pub fn put_bool(buf: &mut BytesMut, v: bool) {
-    buf.put_u8(u8::from(v));
+pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
+    buf.push(u8::from(v));
 }
 
 /// Reads a `bool` written by [`put_bool`].
@@ -131,10 +127,9 @@ pub fn put_bool(buf: &mut BytesMut, v: bool) {
 /// Returns [`WireError::Truncated`] on an empty buffer and
 /// [`WireError::Invalid`] for bytes other than 0/1.
 pub fn get_bool(buf: &mut &[u8]) -> Result<bool, WireError> {
-    if buf.is_empty() {
-        return Err(WireError::Truncated);
-    }
-    match buf.get_u8() {
+    let (&byte, rest) = buf.split_first().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    match byte {
         0 => Ok(false),
         1 => Ok(true),
         _ => Err(WireError::Invalid("bool byte must be 0 or 1")),
@@ -142,7 +137,7 @@ pub fn get_bool(buf: &mut &[u8]) -> Result<bool, WireError> {
 }
 
 /// Writes a `u32` as a varint.
-pub fn put_u32(buf: &mut BytesMut, v: u32) {
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     put_uvarint(buf, u64::from(v));
 }
 
@@ -157,7 +152,7 @@ pub fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
 }
 
 /// Writes a `u64` as a varint.
-pub fn put_u64(buf: &mut BytesMut, v: u64) {
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     put_uvarint(buf, v);
 }
 
@@ -171,14 +166,14 @@ pub fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
 }
 
 impl Wire for () {
-    fn encode(&self, _buf: &mut BytesMut) {}
+    fn encode(&self, _buf: &mut Vec<u8>) {}
     fn decode(_buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(())
     }
 }
 
 impl Wire for bool {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_bool(buf, *self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -187,7 +182,7 @@ impl Wire for bool {
 }
 
 impl Wire for u32 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_u32(buf, *self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -196,7 +191,7 @@ impl Wire for u32 {
 }
 
 impl Wire for u64 {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_u64(buf, *self);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -205,7 +200,7 @@ impl Wire for u64 {
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
@@ -215,7 +210,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             None => put_bool(buf, false),
             Some(v) => {
@@ -305,20 +300,18 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn uvarint_roundtrip_prop(v: u64) {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_uvarint(&mut buf, v);
-            let bytes = buf.freeze();
-            let mut slice = &bytes[..];
+            let mut slice = &buf[..];
             proptest::prop_assert_eq!(get_uvarint(&mut slice).unwrap(), v);
             proptest::prop_assert!(slice.is_empty());
         }
 
         #[test]
         fn pair_roundtrip_prop(a: u32, b: u64) {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             (a, b).encode(&mut buf);
-            let bytes = buf.freeze();
-            let mut slice = &bytes[..];
+            let mut slice = &buf[..];
             proptest::prop_assert_eq!(<(u32, u64)>::decode(&mut slice).unwrap(), (a, b));
         }
     }

@@ -9,7 +9,6 @@ use arbodom_congest::{
     RunOptions, SimError, Step, Wire, WireError,
 };
 use arbodom_graph::generators;
-use bytes::{BufMut, BytesMut};
 
 fn strict() -> RunOptions {
     RunOptions {
@@ -43,7 +42,7 @@ impl<M: Wire + Clone + std::fmt::Debug> NodeProgram for SendOnce<M> {
 struct Lossy(u32);
 
 impl Wire for Lossy {
-    fn encode(&self, _buf: &mut BytesMut) {}
+    fn encode(&self, _buf: &mut Vec<u8>) {}
     fn decode(_buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(Lossy(0))
     }
@@ -54,9 +53,9 @@ impl Wire for Lossy {
 struct Trailing;
 
 impl Wire for Trailing {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(1);
-        buf.put_u8(2); // decode below leaves this behind
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(1);
+        buf.push(2); // decode below leaves this behind
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         if buf.is_empty() {
@@ -72,8 +71,8 @@ impl Wire for Trailing {
 struct SelfRejecting;
 
 impl Wire for SelfRejecting {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(0xAB);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(0xAB);
     }
     fn decode(_buf: &mut &[u8]) -> Result<Self, WireError> {
         Err(WireError::Invalid("always rejects"))

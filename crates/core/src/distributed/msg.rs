@@ -1,7 +1,6 @@
 //! The wire protocol shared by the dominating-set node programs.
 
 use arbodom_congest::{get_u64, get_uvarint, put_u64, put_uvarint, Wire, WireError};
-use bytes::{BufMut, BytesMut};
 
 /// Messages of the primal-dual protocols.
 ///
@@ -32,21 +31,21 @@ const TAG_ELECT: u8 = 4;
 const TAG_DEGREE: u8 = 5;
 
 impl Wire for ProtocolMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             ProtocolMsg::Weight(w) => {
-                buf.put_u8(TAG_WEIGHT);
+                buf.push(TAG_WEIGHT);
                 put_u64(buf, *w);
             }
             ProtocolMsg::Tau(t) => {
-                buf.put_u8(TAG_TAU);
+                buf.push(TAG_TAU);
                 put_u64(buf, *t);
             }
-            ProtocolMsg::Joined => buf.put_u8(TAG_JOINED),
-            ProtocolMsg::Dominated => buf.put_u8(TAG_DOMINATED),
-            ProtocolMsg::Elect => buf.put_u8(TAG_ELECT),
+            ProtocolMsg::Joined => buf.push(TAG_JOINED),
+            ProtocolMsg::Dominated => buf.push(TAG_DOMINATED),
+            ProtocolMsg::Elect => buf.push(TAG_ELECT),
             ProtocolMsg::Degree(d) => {
-                buf.put_u8(TAG_DEGREE);
+                buf.push(TAG_DEGREE);
                 put_uvarint(buf, *d);
             }
         }
@@ -85,10 +84,9 @@ mod tests {
             ProtocolMsg::Elect,
             ProtocolMsg::Degree(77),
         ] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             msg.encode(&mut buf);
-            let bytes = buf.freeze();
-            let mut slice = &bytes[..];
+            let mut slice = &buf[..];
             assert_eq!(ProtocolMsg::decode(&mut slice).unwrap(), msg);
             assert!(slice.is_empty());
         }

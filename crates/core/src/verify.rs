@@ -7,7 +7,6 @@
 //! certified, not estimated.
 
 use arbodom_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Whether `in_ds` flags a dominating set of `g`.
 pub fn is_dominating_set(g: &Graph, in_ds: &[bool]) -> bool {
@@ -39,7 +38,7 @@ pub fn dominated_flags(g: &Graph, in_ds: &[bool]) -> Vec<bool> {
 }
 
 /// A packing `{x_v}` in the sense of Lemma 2.1.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PackingCertificate {
     x: Vec<f64>,
 }

@@ -9,7 +9,6 @@ use arbodom_congest::{assert_wire_conformance, MeterMode, RunOptions, Wire, Wire
 use arbodom_core::distributed::{self, ProtocolMsg};
 use arbodom_core::{randomized, unknown_delta, weighted};
 use arbodom_graph::generators;
-use bytes::BytesMut;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,7 +43,7 @@ fn truncated_buffers_error_at_every_cut() {
     // Truncated (or Invalid for a multi-byte varint cut that exposes a
     // dangling continuation bit), never a silent success.
     for msg in all_variants() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         msg.encode(&mut buf);
         for cut in 0..buf.len() {
             let mut slice = &buf[..cut];

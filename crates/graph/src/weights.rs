@@ -4,12 +4,11 @@
 //! here respects that.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Graph, NodeId};
 
 /// A distribution over node weights.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum WeightModel {
     /// All weights 1 (the unweighted problem of Section 3).

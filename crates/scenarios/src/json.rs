@@ -4,10 +4,9 @@
 //! `BENCH_scenarios.json` (and `BENCH_sim.json` in `arbodom-bench`, which
 //! reuses this module) must be **byte-identical** for identical inputs —
 //! the scenario engine's determinism guarantee is stated at the artifact
-//! level, and the tests compare rendered strings. The offline `serde_json`
-//! stand-in has a different API than the real crate, so the artifact
-//! writers render through this tiny builder instead and have no opinion
-//! about which `serde_json` is installed.
+//! level, and the tests compare rendered strings. The workspace has no
+//! JSON dependency, so the artifact writers render through this tiny
+//! builder, which fixes key order and number formatting itself.
 //!
 //! Insertion order is preserved; keys are written exactly once, in the
 //! order the caller adds them.

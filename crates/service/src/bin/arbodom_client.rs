@@ -13,8 +13,8 @@
 //!                          | --cell NAME SIZE WEIGHT LOSS SEED)
 //! ```
 //!
-//! `limits` performs the protocol-v3 `Hello` handshake and prints the
-//! server's advertised protocol range and admission limits.
+//! `limits` performs the `Hello` handshake and prints the protocol
+//! version and the server's advertised admission limits.
 //!
 //! `metrics` scrapes the daemon's registry: the default output is a
 //! human-readable table (histograms summarized as count/p50/p95/p99),
@@ -35,7 +35,7 @@
 
 use arbodom_scenarios::{Algorithm, Family};
 use arbodom_service::cliargs::{parsed, required};
-use arbodom_service::{Client, GraphSource, JobSpec};
+use arbodom_service::{Client, GraphSource, JobSpec, PROTOCOL_V3};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,7 +67,7 @@ fn main() {
         }),
         "limits" => control(&args[1..], |c| {
             let l = c.hello()?;
-            println!("protocol: v{}..=v{}", l.protocol_min, l.protocol_max);
+            println!("protocol: v{PROTOCOL_V3}");
             println!("workers: {}", l.workers);
             println!(
                 "admission: max_pending_jobs={} max_pending_bytes={} per_conn_inflight={}",

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use crate::protocol::{
     decode_payload, read_frame, write_message, CacheStats, DeltaSpec, JobResult, JobSpec, Request,
-    Response, ServerLimits, SessionPolicy, SessionUpdate, PROTOCOL_MAX,
+    Response, ServerLimits, SessionPolicy, SessionUpdate, PROTOCOL_V3,
 };
 use crate::ServiceError;
 
@@ -63,33 +63,15 @@ impl Default for RetryPolicy {
 }
 
 /// Builder-style configuration for [`Client`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClientBuilder {
-    version: u8,
     retry: RetryPolicy,
 }
 
-impl Default for ClientBuilder {
-    fn default() -> Self {
-        ClientBuilder {
-            version: PROTOCOL_MAX,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
-
 impl ClientBuilder {
-    /// A builder speaking the newest protocol version with the default
-    /// retry policy.
+    /// A builder with the default retry policy.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Protocol version every frame of this client carries (the server
-    /// pins the connection to the first one it sees).
-    pub fn version(mut self, version: u8) -> Self {
-        self.version = version;
-        self
     }
 
     /// Maximum retries after a shed (0 surfaces every shed as
@@ -136,7 +118,6 @@ impl ClientBuilder {
         let rng = self.retry.jitter_seed ^ 0x9E37_79B9_7F4A_7C15;
         let mut client = Client {
             addr,
-            version: self.version,
             retry: self.retry,
             stream: None,
             rng: rng | 1,
@@ -156,46 +137,24 @@ impl ClientBuilder {
 /// [`ServiceError::Overloaded`].
 pub struct Client {
     addr: SocketAddr,
-    version: u8,
     retry: RetryPolicy,
     stream: Option<TcpStream>,
     rng: u64,
 }
 
 impl Client {
-    /// A [`ClientBuilder`] with defaults (newest protocol, 4 retries).
+    /// A [`ClientBuilder`] with defaults (4 retries).
     pub fn builder() -> ClientBuilder {
         ClientBuilder::new()
     }
 
-    /// Connects to a daemon speaking the newest protocol version with
-    /// the default retry policy.
+    /// Connects to a daemon with the default retry policy.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServiceError> {
         Self::builder().connect(addr)
-    }
-
-    /// Connects speaking an explicit protocol version (the first frame
-    /// pins it server-side). Useful for compatibility testing; a version
-    /// the server does not speak gets a typed
-    /// [`ServiceError::UnsupportedVersion`] on the first request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn connect_with_version(
-        addr: impl ToSocketAddrs,
-        version: u8,
-    ) -> Result<Self, ServiceError> {
-        Self::builder().version(version).connect(addr)
-    }
-
-    /// The protocol version this connection speaks.
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// The daemon address this handle reconnects to.
@@ -214,34 +173,31 @@ impl Client {
 
     /// Drops the connection so the next request reconnects. Called on
     /// transport failures and on server replies whose contract closes
-    /// the connection ([`Response::Error`]).
+    /// the connection ([`Response::Error`],
+    /// [`Response::UnsupportedVersion`]).
     fn disconnect(&mut self) {
         self.stream = None;
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ServiceError> {
-        let version = self.version;
         let stream = self.ensure_connected()?;
-        write_message(stream, version, request).inspect_err(|_| self.disconnect())
+        write_message(stream, PROTOCOL_V3, request).inspect_err(|_| self.disconnect())
     }
 
-    fn recv(&mut self) -> Result<Response, ServiceError> {
+    /// Reads one reply frame, returning its raw payload with the decoded
+    /// response. Error replies surface as typed errors.
+    fn recv(&mut self) -> Result<(Vec<u8>, Response), ServiceError> {
         let stream = self.ensure_connected()?;
-        let payload = match read_frame(stream) {
-            Ok((_, payload)) => payload,
-            Err(e) => {
-                self.disconnect();
-                return Err(e);
-            }
-        };
+        let (_, payload) = read_frame(stream).inspect_err(|_| self.disconnect())?;
         match decode_payload::<Response>(&payload)? {
             Response::Error(msg) => {
-                // `Error` closes the connection by contract; match it.
+                // The server closes after these two replies; match it.
                 self.disconnect();
                 Err(ServiceError::Remote(msg))
             }
-            Response::UnsupportedVersion { got, min, max } => {
-                Err(ServiceError::UnsupportedVersion { got, min, max })
+            Response::UnsupportedVersion { got, supported } => {
+                self.disconnect();
+                Err(ServiceError::UnsupportedVersion { got, supported })
             }
             Response::Overloaded {
                 retry_after_ms,
@@ -250,7 +206,7 @@ impl Client {
                 retry_after_ms,
                 queue_depth,
             }),
-            other => Ok(other),
+            other => Ok((payload, other)),
         }
     }
 
@@ -280,7 +236,7 @@ impl Client {
                     attempt += 1;
                     std::thread::sleep(self.backoff_delay(attempt, retry_after_ms));
                 }
-                other => return other,
+                other => return other.map(|(_, reply)| reply),
             }
         }
     }
@@ -297,13 +253,11 @@ impl Client {
         }
     }
 
-    /// Fetches the daemon's advertised protocol range and admission
-    /// limits. Protocol v3 only.
+    /// Fetches the daemon's advertised admission limits.
     ///
     /// # Errors
     ///
-    /// Fails on transport errors, an unexpected response, or
-    /// [`ServiceError::UnsupportedVersion`] on an older connection.
+    /// Fails on transport errors or an unexpected response.
     pub fn hello(&mut self) -> Result<ServerLimits, ServiceError> {
         match self.round_trip(&Request::Hello)? {
             Response::Limits(limits) => Ok(limits),
@@ -343,9 +297,8 @@ impl Client {
     ///
     /// Job-level failures (bad source, lossy cell, invalid initial
     /// solution) surface as [`ServiceError::Remote`] — no session was
-    /// created. v1 connections get
-    /// [`ServiceError::UnsupportedVersion`]; an exhausted retry budget
-    /// surfaces as [`ServiceError::Overloaded`].
+    /// created; an exhausted retry budget surfaces as
+    /// [`ServiceError::Overloaded`].
     pub fn open(&mut self, spec: &JobSpec) -> Result<(u64, JobResult), ServiceError> {
         match self.round_trip(&Request::Open(spec.clone()))? {
             Response::Session { id, outcome } => match outcome {
@@ -410,12 +363,11 @@ impl Client {
 
     /// Scrapes the daemon's metrics registry: returns the Prometheus
     /// text-exposition rendering (parse it with
-    /// `arbodom_obs::prom::parse`). Protocol v2 and newer.
+    /// `arbodom_obs::prom::parse`).
     ///
     /// # Errors
     ///
-    /// Fails on transport errors, an unexpected response, or
-    /// [`ServiceError::UnsupportedVersion`] on a v1 connection.
+    /// Fails on transport errors or an unexpected response.
     pub fn metrics(&mut self) -> Result<String, ServiceError> {
         match self.round_trip(&Request::Metrics)? {
             Response::MetricsReport(text) => Ok(text),
@@ -426,7 +378,7 @@ impl Client {
     /// Submits a batch and returns the **raw response frame payloads** in
     /// arrival order (every `Job` frame, then the `BatchDone` trailer).
     /// This is the byte stream the determinism tests compare (the frame
-    /// version byte is constant per connection and excluded).
+    /// header is excluded).
     ///
     /// A shed batch (typed `Overloaded` instead of the first `Job`
     /// frame) is retried under the client's [`RetryPolicy`]; nothing is
@@ -456,33 +408,10 @@ impl Client {
         self.send(request)?;
         let mut frames = Vec::new();
         loop {
-            let stream = self.ensure_connected()?;
-            let payload = match read_frame(stream) {
-                Ok((_, payload)) => payload,
-                Err(e) => {
-                    self.disconnect();
-                    return Err(e);
-                }
-            };
-            let done = match decode_payload::<Response>(&payload)? {
-                Response::Error(msg) => {
-                    self.disconnect();
-                    return Err(ServiceError::Remote(msg));
-                }
-                Response::UnsupportedVersion { got, min, max } => {
-                    return Err(ServiceError::UnsupportedVersion { got, min, max })
-                }
-                // The server sheds a batch *before* dispatching any of
-                // it, so an `Overloaded` here means no partial results.
-                Response::Overloaded {
-                    retry_after_ms,
-                    queue_depth,
-                } => {
-                    return Err(ServiceError::Overloaded {
-                        retry_after_ms,
-                        queue_depth,
-                    })
-                }
+            // The server sheds a batch *before* dispatching any of it, so
+            // an `Overloaded` error here means no partial results.
+            let (payload, reply) = self.recv()?;
+            let done = match reply {
                 Response::BatchDone { .. } => true,
                 Response::Job { .. } => false,
                 other => return Err(unexpected("Job/BatchDone", &other)),

@@ -18,17 +18,14 @@ pub enum ServiceError {
     /// A frame header declared a payload above
     /// [`crate::protocol::MAX_FRAME_LEN`].
     FrameTooLarge(u64),
-    /// The server rejected the connection's protocol version, or a
-    /// request gated behind a newer version than the connection pinned
-    /// (typed counterpart of
+    /// The server rejected a frame's protocol version and closed the
+    /// connection (typed counterpart of
     /// [`crate::protocol::Response::UnsupportedVersion`]).
     UnsupportedVersion {
         /// The version byte the client sent.
         got: u8,
-        /// Oldest version the server speaks.
-        min: u8,
-        /// Newest version the server speaks.
-        max: u8,
+        /// The version the server speaks.
+        supported: u8,
     },
     /// Admission control shed the request and the client's retry budget
     /// is exhausted (typed counterpart of
@@ -52,9 +49,9 @@ impl fmt::Display for ServiceError {
             ServiceError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             ServiceError::Remote(msg) => write!(f, "server error: {msg}"),
             ServiceError::FrameTooLarge(len) => write!(f, "frame too large: {len} bytes"),
-            ServiceError::UnsupportedVersion { got, min, max } => write!(
+            ServiceError::UnsupportedVersion { got, supported } => write!(
                 f,
-                "unsupported protocol version {got} (server speaks {min}..={max})"
+                "unsupported protocol version {got} (server speaks {supported})"
             ),
             ServiceError::Overloaded {
                 retry_after_ms,

@@ -6,8 +6,8 @@
 //! that amortizes graph construction across queries (a byte-budgeted
 //! LRU cache keyed by [`arbodom_graph::digest::edge_digest`]) and fans
 //! jobs across a work-stealing pool driving the thread-capable
-//! `run_*_on` simulator entry points. Since protocol v2 it also serves
-//! **dynamic graphs**: a session protocol holds `(graph, solution,
+//! `run_*_on` simulator entry points. It also serves **dynamic
+//! graphs**: a session protocol holds `(graph, solution,
 //! quality)` state server-side and maintains the dominating set under
 //! edge churn by incremental local repair
 //! ([`arbodom_core::repair`]), falling back to a certified full
@@ -95,17 +95,16 @@
 //!
 //! # Protocol
 //!
-//! Versioned length-prefixed frames (a version byte, a 4-byte
-//! little-endian payload length, then the payload encoded with the
-//! CONGEST [`arbodom_congest::Wire`] codecs); see [`protocol`] for the
-//! message grammar and the negotiation rules (the first frame pins a
-//! connection's version; session requests are v2-only and v1
-//! connections get a typed `UnsupportedVersion` reply). A batch request
-//! is answered with one [`protocol::Response::Job`] frame per job **in
-//! submission order** plus a `BatchDone` trailer, which makes the
-//! response stream byte-deterministic: identical batches yield
-//! identical bytes at any server worker count (the end-to-end tests
-//! compare raw frames).
+//! Length-prefixed frames (a version byte, a 4-byte little-endian
+//! payload length, then the payload encoded with the CONGEST
+//! [`arbodom_congest::Wire`] codecs); see [`protocol`] for the message
+//! grammar. The daemon speaks one version, [`PROTOCOL_V3`]: a frame
+//! carrying any other version byte gets a typed `UnsupportedVersion`
+//! reply and the connection closes. A batch request is answered with
+//! one [`protocol::Response::Job`] frame per job **in submission
+//! order** plus a `BatchDone` trailer, which makes the response stream
+//! byte-deterministic: identical batches yield identical bytes at any
+//! server worker count (the end-to-end tests compare raw frames).
 //!
 //! # Job specs
 //!
@@ -150,7 +149,7 @@ pub use jobs::{execute_job, open_session, ExecContext};
 pub use obs::ServiceObs;
 pub use protocol::{
     CacheStats, DeltaSpec, FrameAssembler, GraphSource, JobResult, JobSpec, RepairStats, Request,
-    Response, ServerLimits, SessionPolicy, SessionUpdate, PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3,
+    Response, ServerLimits, SessionPolicy, SessionUpdate, PROTOCOL_V3,
 };
 pub use scheduler::Scheduler;
 pub use server::{Server, ServerConfig};

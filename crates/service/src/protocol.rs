@@ -9,22 +9,18 @@
 //! bytes, and fail on any strict prefix (checkable with
 //! [`arbodom_congest::assert_wire_conformance`]).
 //!
-//! # Version negotiation
+//! # Versioning
 //!
-//! The **first frame** of a connection pins its protocol version; every
-//! later frame must carry the same byte. A version outside
-//! [`PROTOCOL_MIN`]`..=`[`PROTOCOL_MAX`] is answered with a typed
-//! [`Response::UnsupportedVersion`] and the connection closes. A v1
-//! connection keeps the original batch-query surface; the **session
-//! requests** ([`Request::Open`]/[`Request::Mutate`]/[`Request::Resolve`]
-//! /[`Request::Release`]) and [`GraphSource::Session`] are v2-only — a
-//! v1 client issuing them gets `UnsupportedVersion` (the connection
-//! stays usable for v1 traffic). Protocol v3 adds the overload surface:
-//! [`Request::Hello`] (answered with [`Response::Limits`] advertising
-//! the daemon's [`ServerLimits`]) and the typed [`Response::Overloaded`]
-//! shed reply. A v3 connection that trips admission control receives
-//! `Overloaded` with a retry hint; older connections receive a plain
-//! [`Response::Error`] instead, because they cannot decode the new tag.
+//! The daemon speaks exactly one protocol version, [`PROTOCOL_V3`].
+//! Every frame's version byte must equal it: any other byte, on the
+//! first frame or a later one, is answered with a typed
+//! [`Response::UnsupportedVersion`] and the connection closes. The
+//! framing itself ([`read_frame`], [`FrameAssembler`]) carries the byte
+//! through without judging it; only the connection layer checks it.
+//! Admission control answers a shed request with the typed
+//! [`Response::Overloaded`] and keeps the connection open;
+//! [`Request::Hello`] advertises the limits behind it
+//! ([`Response::Limits`] carrying [`ServerLimits`]).
 //!
 //! A conversation is strictly client-driven: the client writes one
 //! request frame, the server answers with one or more response frames —
@@ -43,7 +39,6 @@ use arbodom_congest::{
 use arbodom_graph::weights::WeightModel;
 use arbodom_scenarios::quality::RefKind;
 use arbodom_scenarios::{Algorithm, Family};
-use bytes::BytesMut;
 
 use crate::ServiceError;
 use std::io::{Read, Write};
@@ -52,24 +47,11 @@ use std::io::{Read, Write};
 /// little-endian payload length.
 pub const FRAME_HEADER_LEN: usize = 5;
 
-/// Protocol v1: the original batch-query surface (`Ping`/`Batch`/
-/// `Stats`/`Shutdown`).
-pub const PROTOCOL_V1: u8 = 1;
-
-/// Protocol v2: v1 plus the session surface (`Open`/`Mutate`/`Resolve`/
-/// `Release` and [`GraphSource::Session`]).
-pub const PROTOCOL_V2: u8 = 2;
-
-/// Protocol v3: v2 plus the overload surface — [`Request::Hello`] /
-/// [`Response::Limits`] limit discovery and the typed
-/// [`Response::Overloaded`] shed reply.
+/// The protocol version the daemon speaks: the batch queries, the
+/// session surface, metrics scrapes, and the overload surface
+/// ([`Request::Hello`] / [`Response::Limits`] and the typed
+/// [`Response::Overloaded`] shed reply). Every frame carries it.
 pub const PROTOCOL_V3: u8 = 3;
-
-/// Oldest protocol version the daemon speaks.
-pub const PROTOCOL_MIN: u8 = PROTOCOL_V1;
-
-/// Newest protocol version the daemon speaks.
-pub const PROTOCOL_MAX: u8 = PROTOCOL_V3;
 
 /// Hard cap on a frame payload; larger declared lengths are rejected
 /// before any allocation so a corrupt or hostile header cannot balloon
@@ -92,17 +74,23 @@ pub fn write_frame(w: &mut impl Write, version: u8, payload: &[u8]) -> Result<()
     if payload.len() > MAX_FRAME_LEN {
         return Err(ServiceError::FrameTooLarge(payload.len() as u64));
     }
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[0] = version;
-    header[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
+    w.write_all(&frame_header(version, payload.len()))?;
     w.write_all(payload)?;
     Ok(())
 }
 
+/// The header of a frame carrying `version` and `len` payload bytes
+/// (`len` must not exceed [`MAX_FRAME_LEN`]).
+pub(crate) fn frame_header(version: u8, len: usize) -> [u8; FRAME_HEADER_LEN] {
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[0] = version;
+    header[1..].copy_from_slice(&(len as u32).to_le_bytes());
+    header
+}
+
 /// Reads one frame, returning its version byte and payload. The version
-/// is **not** validated here — the connection layer decides whether to
-/// pin it or answer [`Response::UnsupportedVersion`].
+/// is **not** validated here — the connection layer answers anything but
+/// [`PROTOCOL_V3`] with [`Response::UnsupportedVersion`].
 ///
 /// # Errors
 ///
@@ -136,9 +124,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), ServiceError> {
 
 /// Encodes one message into a standalone payload buffer.
 pub fn encode_payload<M: Wire>(msg: &M) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     msg.encode(&mut buf);
-    buf.to_vec()
+    buf
 }
 
 /// Decodes one message from a payload, requiring full consumption.
@@ -256,7 +244,7 @@ impl FrameAssembler {
 // Scalar helpers over the congest codecs
 // ---------------------------------------------------------------------------
 
-fn put_f64(buf: &mut BytesMut, v: f64) {
+fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
@@ -264,7 +252,7 @@ fn get_f64(buf: &mut &[u8]) -> Result<f64, WireError> {
     Ok(f64::from_bits(get_u64(buf)?))
 }
 
-fn put_usize(buf: &mut BytesMut, v: usize) {
+fn put_usize(buf: &mut Vec<u8>, v: usize) {
     put_uvarint(buf, v as u64);
 }
 
@@ -272,7 +260,7 @@ fn get_usize(buf: &mut &[u8]) -> Result<usize, WireError> {
     usize::try_from(get_uvarint(buf)?).map_err(|_| WireError::Invalid("usize out of range"))
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
+fn put_string(buf: &mut Vec<u8>, s: &str) {
     put_usize(buf, s.len());
     buf.extend_from_slice(s.as_bytes());
 }
@@ -305,20 +293,20 @@ fn get_seq_len(buf: &mut &[u8]) -> Result<usize, WireError> {
 // Foreign enums (orphan rule: encode through helpers, not `Wire` impls)
 // ---------------------------------------------------------------------------
 
-fn put_weight_model(buf: &mut BytesMut, m: &WeightModel) {
+fn put_weight_model(buf: &mut Vec<u8>, m: &WeightModel) {
     match m {
-        WeightModel::Unit => buf.extend_from_slice(&[0]),
+        WeightModel::Unit => buf.push(0),
         WeightModel::Uniform { lo, hi } => {
-            buf.extend_from_slice(&[1]);
+            buf.push(1);
             put_u64(buf, *lo);
             put_u64(buf, *hi);
         }
         WeightModel::Exponential { max_exp } => {
-            buf.extend_from_slice(&[2]);
+            buf.push(2);
             put_u32(buf, *max_exp);
         }
-        WeightModel::DegreeCorrelated => buf.extend_from_slice(&[3]),
-        WeightModel::InverseDegree => buf.extend_from_slice(&[4]),
+        WeightModel::DegreeCorrelated => buf.push(3),
+        WeightModel::InverseDegree => buf.push(4),
         _ => unreachable!("non-exhaustive WeightModel variant without a wire tag"),
     }
 }
@@ -339,49 +327,49 @@ fn get_weight_model(buf: &mut &[u8]) -> Result<WeightModel, WireError> {
     }
 }
 
-fn put_family(buf: &mut BytesMut, f: &Family) {
+fn put_family(buf: &mut Vec<u8>, f: &Family) {
     match f {
         Family::ForestUnion { alpha, keep } => {
-            buf.extend_from_slice(&[0]);
+            buf.push(0);
             put_usize(buf, *alpha);
             put_f64(buf, *keep);
         }
         Family::PrefAttach { m_per_node } => {
-            buf.extend_from_slice(&[1]);
+            buf.push(1);
             put_usize(buf, *m_per_node);
         }
         Family::PlantedDs {
             k_per_mille,
             extra_per_node,
         } => {
-            buf.extend_from_slice(&[2]);
+            buf.push(2);
             put_usize(buf, *k_per_mille);
             put_usize(buf, *extra_per_node);
         }
         Family::Grid2d { torus } => {
-            buf.extend_from_slice(&[3]);
+            buf.push(3);
             put_bool(buf, *torus);
         }
         Family::Gnp { avg_degree } => {
-            buf.extend_from_slice(&[4]);
+            buf.push(4);
             put_f64(buf, *avg_degree);
         }
-        Family::RandomTree => buf.extend_from_slice(&[5]),
+        Family::RandomTree => buf.push(5),
         Family::RandomPlanar { diag_p } => {
-            buf.extend_from_slice(&[6]);
+            buf.push(6);
             put_f64(buf, *diag_p);
         }
         Family::KTree { k } => {
-            buf.extend_from_slice(&[7]);
+            buf.push(7);
             put_usize(buf, *k);
         }
         Family::PowerLawCapped { exponent, cap } => {
-            buf.extend_from_slice(&[8]);
+            buf.push(8);
             put_f64(buf, *exponent);
             put_usize(buf, *cap);
         }
         Family::UnitDisk { avg_degree } => {
-            buf.extend_from_slice(&[9]);
+            buf.push(9);
             put_f64(buf, *avg_degree);
         }
     }
@@ -422,22 +410,22 @@ fn get_family(buf: &mut &[u8]) -> Result<Family, WireError> {
     }
 }
 
-fn put_algorithm(buf: &mut BytesMut, a: &Algorithm) {
+fn put_algorithm(buf: &mut Vec<u8>, a: &Algorithm) {
     match a {
         Algorithm::Weighted { eps } => {
-            buf.extend_from_slice(&[0]);
+            buf.push(0);
             put_f64(buf, *eps);
         }
         Algorithm::UnknownDelta { eps } => {
-            buf.extend_from_slice(&[1]);
+            buf.push(1);
             put_f64(buf, *eps);
         }
         Algorithm::Randomized { t } => {
-            buf.extend_from_slice(&[2]);
+            buf.push(2);
             put_usize(buf, *t);
         }
         Algorithm::General { k } => {
-            buf.extend_from_slice(&[3]);
+            buf.push(3);
             put_usize(buf, *k);
         }
     }
@@ -453,12 +441,12 @@ fn get_algorithm(buf: &mut &[u8]) -> Result<Algorithm, WireError> {
     }
 }
 
-fn put_ref_kind(buf: &mut BytesMut, r: RefKind) {
-    buf.extend_from_slice(&[match r {
+fn put_ref_kind(buf: &mut Vec<u8>, r: RefKind) {
+    buf.push(match r {
         RefKind::Exact => 0,
         RefKind::Planted => 1,
         RefKind::PackingLb => 2,
-    }]);
+    });
 }
 
 fn get_ref_kind(buf: &mut &[u8]) -> Result<RefKind, WireError> {
@@ -523,8 +511,7 @@ pub enum GraphSource {
         /// Seed replica index.
         seed_idx: u64,
     },
-    /// The **current** graph of an open session (protocol v2). Session
-    /// graphs mutate, so jobs over this source are never cached — the
+    /// The **current** graph of an open session. Session graphs mutate, so jobs over this source are never cached — the
     /// job snapshots the session state at execution time.
     Session {
         /// Session id returned by [`Response::Session`].
@@ -533,10 +520,10 @@ pub enum GraphSource {
 }
 
 impl Wire for GraphSource {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             GraphSource::Inline { n, edges, weights } => {
-                buf.extend_from_slice(&[0]);
+                buf.push(0);
                 put_u32(buf, *n);
                 put_usize(buf, edges.len());
                 for &(u, v) in edges {
@@ -560,7 +547,7 @@ impl Wire for GraphSource {
                 weights,
                 seed,
             } => {
-                buf.extend_from_slice(&[1]);
+                buf.push(1);
                 put_family(buf, family);
                 put_u32(buf, *n);
                 put_weight_model(buf, weights);
@@ -573,7 +560,7 @@ impl Wire for GraphSource {
                 loss_idx,
                 seed_idx,
             } => {
-                buf.extend_from_slice(&[2]);
+                buf.push(2);
                 put_string(buf, name);
                 put_u32(buf, *size_idx);
                 put_u32(buf, *weight_idx);
@@ -581,7 +568,7 @@ impl Wire for GraphSource {
                 put_u64(buf, *seed_idx);
             }
             GraphSource::Session { id } => {
-                buf.extend_from_slice(&[3]);
+                buf.push(3);
                 put_u64(buf, *id);
             }
         }
@@ -655,7 +642,7 @@ impl JobSpec {
 }
 
 impl Wire for JobSpec {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.source.encode(buf);
         match &self.algorithm {
             None => put_bool(buf, false),
@@ -683,7 +670,7 @@ impl Wire for JobSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Session messages (protocol v2)
+// Session messages
 // ---------------------------------------------------------------------------
 
 /// An edge-delta batch shipped over the wire: the inserts and deletes a
@@ -699,7 +686,7 @@ pub struct DeltaSpec {
     pub deletes: Vec<(u32, u32)>,
 }
 
-fn put_edge_list(buf: &mut BytesMut, edges: &[(u32, u32)]) {
+fn put_edge_list(buf: &mut Vec<u8>, edges: &[(u32, u32)]) {
     put_usize(buf, edges.len());
     for &(u, v) in edges {
         put_u32(buf, u);
@@ -717,7 +704,7 @@ fn get_edge_list(buf: &mut &[u8]) -> Result<Vec<(u32, u32)>, WireError> {
 }
 
 impl Wire for DeltaSpec {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_edge_list(buf, &self.inserts);
         put_edge_list(buf, &self.deletes);
     }
@@ -742,11 +729,11 @@ pub enum SessionPolicy {
 }
 
 impl Wire for SessionPolicy {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.extend_from_slice(&[match self {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(match self {
             SessionPolicy::Repair => 0,
             SessionPolicy::Resolve => 1,
-        }]);
+        });
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -782,7 +769,7 @@ pub struct RepairStats {
 }
 
 impl Wire for RepairStats {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_bool(buf, self.repaired);
         put_u64(buf, self.added);
         put_u64(buf, self.removed);
@@ -819,7 +806,7 @@ pub struct SessionUpdate {
 }
 
 impl Wire for SessionUpdate {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.result.encode(buf);
         self.repair.encode(buf);
     }
@@ -832,7 +819,7 @@ impl Wire for SessionUpdate {
     }
 }
 
-fn put_outcome<T: Wire>(buf: &mut BytesMut, outcome: &Result<T, String>) {
+fn put_outcome<T: Wire>(buf: &mut Vec<u8>, outcome: &Result<T, String>) {
     match outcome {
         Ok(value) => {
             put_bool(buf, true);
@@ -857,9 +844,7 @@ fn get_outcome<T: Wire>(buf: &mut &[u8]) -> Result<Result<T, String>, WireError>
 // Requests
 // ---------------------------------------------------------------------------
 
-/// A client → server message. The session requests (`Open`, `Mutate`,
-/// `Resolve`, `Release`) are protocol-v2-only; a v1 connection issuing
-/// them is answered with [`Response::UnsupportedVersion`].
+/// A client → server message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
@@ -901,56 +886,28 @@ pub enum Request {
     },
     /// Scrapes the daemon's metrics registry; answered with
     /// [`Response::MetricsReport`] carrying the Prometheus
-    /// text-exposition rendering. Protocol v2 only.
+    /// text-exposition rendering.
     Metrics,
     /// Asks the daemon to advertise its admission limits; answered with
-    /// [`Response::Limits`]. Protocol v3 only.
+    /// [`Response::Limits`].
     Hello,
 }
 
-impl Request {
-    /// Whether this request is gated behind protocol v2: the session
-    /// requests, and batches whose jobs address session snapshots. The
-    /// server answers v2-only requests on a v1 connection with
-    /// [`Response::UnsupportedVersion`] and keeps the connection open.
-    pub fn needs_v2(&self) -> bool {
-        match self {
-            Request::Open(_)
-            | Request::Mutate { .. }
-            | Request::Resolve { .. }
-            | Request::Release { .. }
-            | Request::Metrics => true,
-            Request::Batch(jobs) => jobs
-                .iter()
-                .any(|job| matches!(job.source, GraphSource::Session { .. })),
-            Request::Ping | Request::Stats | Request::Shutdown | Request::Hello => false,
-        }
-    }
-
-    /// Whether this request is gated behind protocol v3 (the overload
-    /// surface). Answered on older connections with
-    /// [`Response::UnsupportedVersion`], connection kept open — the same
-    /// contract as [`needs_v2`](Request::needs_v2).
-    pub fn needs_v3(&self) -> bool {
-        matches!(self, Request::Hello)
-    }
-}
-
 impl Wire for Request {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Request::Ping => buf.extend_from_slice(&[0]),
+            Request::Ping => buf.push(0),
             Request::Batch(jobs) => {
-                buf.extend_from_slice(&[1]);
+                buf.push(1);
                 put_usize(buf, jobs.len());
                 for job in jobs {
                     job.encode(buf);
                 }
             }
-            Request::Stats => buf.extend_from_slice(&[2]),
-            Request::Shutdown => buf.extend_from_slice(&[3]),
+            Request::Stats => buf.push(2),
+            Request::Shutdown => buf.push(3),
             Request::Open(spec) => {
-                buf.extend_from_slice(&[4]);
+                buf.push(4);
                 spec.encode(buf);
             }
             Request::Mutate {
@@ -958,21 +915,21 @@ impl Wire for Request {
                 delta,
                 policy,
             } => {
-                buf.extend_from_slice(&[5]);
+                buf.push(5);
                 put_u64(buf, *session);
                 delta.encode(buf);
                 policy.encode(buf);
             }
             Request::Resolve { session } => {
-                buf.extend_from_slice(&[6]);
+                buf.push(6);
                 put_u64(buf, *session);
             }
             Request::Release { session } => {
-                buf.extend_from_slice(&[7]);
+                buf.push(7);
                 put_u64(buf, *session);
             }
-            Request::Metrics => buf.extend_from_slice(&[8]),
-            Request::Hello => buf.extend_from_slice(&[9]),
+            Request::Metrics => buf.push(8),
+            Request::Hello => buf.push(9),
         }
     }
 
@@ -1069,7 +1026,7 @@ pub struct JobResult {
 }
 
 impl Wire for JobResult {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         for v in [
             self.n,
             self.m,
@@ -1178,7 +1135,7 @@ pub struct CacheStats {
 }
 
 impl Wire for CacheStats {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         for v in [
             self.entries,
             self.capacity,
@@ -1210,7 +1167,7 @@ impl Wire for CacheStats {
 }
 
 /// The daemon's advertised admission limits, answered to
-/// [`Request::Hello`] on protocol v3.
+/// [`Request::Hello`].
 ///
 /// A well-behaved client sizes its pipelining to `per_conn_inflight`
 /// and backs off per [`Response::Overloaded`] retry hints; the limits
@@ -1218,10 +1175,6 @@ impl Wire for CacheStats {
 /// avoid sheds instead of reacting to them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerLimits {
-    /// Oldest protocol version the daemon speaks.
-    pub protocol_min: u8,
-    /// Newest protocol version the daemon speaks.
-    pub protocol_max: u8,
     /// Scheduler worker threads executing jobs.
     pub workers: u64,
     /// Global cap on admitted-but-unfinished jobs.
@@ -1239,8 +1192,7 @@ pub struct ServerLimits {
 }
 
 impl Wire for ServerLimits {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.extend_from_slice(&[self.protocol_min, self.protocol_max]);
+    fn encode(&self, buf: &mut Vec<u8>) {
         for v in [
             self.workers,
             self.max_pending_jobs,
@@ -1256,8 +1208,6 @@ impl Wire for ServerLimits {
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(ServerLimits {
-            protocol_min: get_tag(buf)?,
-            protocol_max: get_tag(buf)?,
             workers: get_u64(buf)?,
             max_pending_jobs: get_u64(buf)?,
             max_pending_bytes: get_u64(buf)?,
@@ -1321,21 +1271,17 @@ pub enum Response {
     /// registry rendered in Prometheus text-exposition format
     /// (parseable with `arbodom_obs::prom::parse`).
     MetricsReport(String),
-    /// The connection's pinned version cannot serve the request — either
-    /// the first frame carried a version outside the supported range
-    /// (the connection closes), or a v1 connection issued a v2-only
-    /// session request (the connection stays open).
+    /// A frame carried a version byte other than [`PROTOCOL_V3`]. The
+    /// request was not decoded or executed; the server closes the
+    /// connection after this reply.
     UnsupportedVersion {
         /// The version byte the client sent.
         got: u8,
-        /// Oldest version the daemon speaks.
-        min: u8,
-        /// Newest version the daemon speaks.
-        max: u8,
+        /// The version the daemon speaks.
+        supported: u8,
     },
-    /// Admission control shed this request (protocol v3 connections
-    /// only; older connections receive [`Response::Error`]). The request
-    /// was **not** executed; the connection stays open.
+    /// Admission control shed this request. The request was **not**
+    /// executed; the connection stays open.
     Overloaded {
         /// Suggested client backoff before retrying, in milliseconds.
         retry_after_ms: u64,
@@ -1347,59 +1293,59 @@ pub enum Response {
 }
 
 impl Wire for Response {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Response::Pong => buf.extend_from_slice(&[0]),
+            Response::Pong => buf.push(0),
             Response::Job { index, outcome } => {
-                buf.extend_from_slice(&[1]);
+                buf.push(1);
                 put_u32(buf, *index);
                 put_outcome(buf, outcome);
             }
             Response::BatchDone { jobs } => {
-                buf.extend_from_slice(&[2]);
+                buf.push(2);
                 put_u32(buf, *jobs);
             }
             Response::Stats(stats) => {
-                buf.extend_from_slice(&[3]);
+                buf.push(3);
                 stats.encode(buf);
             }
-            Response::ShuttingDown => buf.extend_from_slice(&[4]),
+            Response::ShuttingDown => buf.push(4),
             Response::Error(msg) => {
-                buf.extend_from_slice(&[5]);
+                buf.push(5);
                 put_string(buf, msg);
             }
             Response::Session { id, outcome } => {
-                buf.extend_from_slice(&[6]);
+                buf.push(6);
                 put_u64(buf, *id);
                 put_outcome(buf, outcome);
             }
             Response::Mutated { id, outcome } => {
-                buf.extend_from_slice(&[7]);
+                buf.push(7);
                 put_u64(buf, *id);
                 put_outcome(buf, outcome);
             }
             Response::Released { id, existed } => {
-                buf.extend_from_slice(&[8]);
+                buf.push(8);
                 put_u64(buf, *id);
                 put_bool(buf, *existed);
             }
-            Response::UnsupportedVersion { got, min, max } => {
-                buf.extend_from_slice(&[9, *got, *min, *max]);
+            Response::UnsupportedVersion { got, supported } => {
+                buf.extend_from_slice(&[9, *got, *supported]);
             }
             Response::MetricsReport(text) => {
-                buf.extend_from_slice(&[10]);
+                buf.push(10);
                 put_string(buf, text);
             }
             Response::Overloaded {
                 retry_after_ms,
                 queue_depth,
             } => {
-                buf.extend_from_slice(&[11]);
+                buf.push(11);
                 put_u64(buf, *retry_after_ms);
                 put_u64(buf, *queue_depth);
             }
             Response::Limits(limits) => {
-                buf.extend_from_slice(&[12]);
+                buf.push(12);
                 limits.encode(buf);
             }
         }
@@ -1432,8 +1378,7 @@ impl Wire for Response {
             }),
             9 => Ok(Response::UnsupportedVersion {
                 got: get_tag(buf)?,
-                min: get_tag(buf)?,
-                max: get_tag(buf)?,
+                supported: get_tag(buf)?,
             }),
             10 => Ok(Response::MetricsReport(get_string(buf)?)),
             11 => Ok(Response::Overloaded {
@@ -1495,31 +1440,26 @@ mod tests {
         });
         assert_wire_conformance(&Response::UnsupportedVersion {
             got: 9,
-            min: PROTOCOL_MIN,
-            max: PROTOCOL_MAX,
+            supported: PROTOCOL_V3,
         });
     }
 
     #[test]
-    fn metrics_messages_conform_and_are_v2_only() {
+    fn metrics_messages_conform() {
         assert_wire_conformance(&Request::Metrics);
         assert_wire_conformance(&Response::MetricsReport(
             "# TYPE arbodom_jobs_total counter\narbodom_jobs_total 3\n".into(),
         ));
-        assert!(Request::Metrics.needs_v2());
-        assert!(!Request::Ping.needs_v2());
     }
 
     #[test]
-    fn overload_messages_conform_and_are_v3_only() {
+    fn overload_messages_conform() {
         assert_wire_conformance(&Request::Hello);
         assert_wire_conformance(&Response::Overloaded {
             retry_after_ms: 120,
             queue_depth: 37,
         });
         assert_wire_conformance(&Response::Limits(ServerLimits {
-            protocol_min: PROTOCOL_MIN,
-            protocol_max: PROTOCOL_MAX,
             workers: 4,
             max_pending_jobs: 256,
             max_pending_bytes: 64 << 20,
@@ -1528,10 +1468,6 @@ mod tests {
             max_frame_len: MAX_FRAME_LEN as u64,
             max_batch_jobs: MAX_BATCH_JOBS as u64,
         }));
-        assert!(Request::Hello.needs_v3());
-        assert!(!Request::Hello.needs_v2(), "hello is not session-gated");
-        assert!(!Request::Metrics.needs_v3());
-        assert!(!Request::Ping.needs_v3());
     }
 
     #[test]
@@ -1576,16 +1512,16 @@ mod tests {
     #[test]
     fn framing_roundtrips_and_carries_the_version_byte() {
         let mut wire = Vec::new();
-        write_message(&mut wire, PROTOCOL_V2, &Request::Ping).unwrap();
-        write_message(&mut wire, PROTOCOL_V1, &Request::Stats).unwrap();
+        write_message(&mut wire, PROTOCOL_V3, &Request::Ping).unwrap();
+        write_message(&mut wire, 1, &Request::Stats).unwrap();
         let mut reader = wire.as_slice();
         assert_eq!(
             read_message::<Request>(&mut reader).unwrap(),
-            (PROTOCOL_V2, Request::Ping)
+            (PROTOCOL_V3, Request::Ping)
         );
         assert_eq!(
             read_message::<Request>(&mut reader).unwrap(),
-            (PROTOCOL_V1, Request::Stats)
+            (1, Request::Stats)
         );
         assert!(matches!(
             read_message::<Request>(&mut reader),
@@ -1596,7 +1532,7 @@ mod tests {
     #[test]
     fn oversized_frame_header_rejected_before_allocation() {
         let mut header = [0u8; FRAME_HEADER_LEN];
-        header[0] = PROTOCOL_V2;
+        header[0] = PROTOCOL_V3;
         header[1..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut header.as_slice()),
@@ -1607,7 +1543,7 @@ mod tests {
     #[test]
     fn truncated_frame_body_is_an_error() {
         let mut wire = Vec::new();
-        write_message(&mut wire, PROTOCOL_V2, &Request::Shutdown).unwrap();
+        write_message(&mut wire, PROTOCOL_V3, &Request::Shutdown).unwrap();
         wire.pop(); // header still declares 1 payload byte
         assert!(matches!(
             read_frame(&mut wire.as_slice()),
@@ -1620,7 +1556,7 @@ mod tests {
         // Every strict prefix of a valid header: clean close on zero
         // bytes, UnexpectedEof inside the header otherwise.
         let mut wire = Vec::new();
-        write_message(&mut wire, PROTOCOL_V2, &Request::Ping).unwrap();
+        write_message(&mut wire, PROTOCOL_V3, &Request::Ping).unwrap();
         for keep in 0..FRAME_HEADER_LEN {
             let result = read_frame(&mut &wire[..keep]);
             if keep == 0 {

@@ -27,19 +27,16 @@
 //!   (`per_conn_inflight`), checked at arrival so a pipelining client
 //!   is answered in request order.
 //!
-//! A shed request is **answered, never dropped**: protocol-v3
-//! connections get the typed [`Response::Overloaded`] (with a retry
-//! hint) and stay open; older connections get [`Response::Error`] and
-//! close, per that reply's documented semantics. Shed requests never
-//! execute.
+//! A shed request is **answered, never dropped**: the client gets the
+//! typed [`Response::Overloaded`] (with a retry hint) and the
+//! connection stays open. Shed requests never execute.
 //!
-//! # Version negotiation
+//! # Versioning
 //!
-//! The first frame's version byte pins the connection. A byte outside
-//! the supported range gets [`Response::UnsupportedVersion`] and the
-//! connection closes; v2-only requests (sessions) on a v1 connection
-//! and v3-only requests (`Hello`) on older connections get
-//! `UnsupportedVersion` *without* closing.
+//! Every frame's version byte must be [`PROTOCOL_V3`]. Any other byte —
+//! on the first frame or a later one — stops reading: the requests
+//! already queued are answered, then the connection gets a typed
+//! [`Response::UnsupportedVersion`] and closes.
 //!
 //! # Idle timeout
 //!
@@ -68,9 +65,9 @@ use crate::cache::GraphCache;
 use crate::jobs::{execute_job, open_session, ExecContext};
 use crate::obs::{ReqKind, ServiceObs};
 use crate::protocol::{
-    decode_payload, encode_payload, CacheStats, DeltaSpec, FrameAssembler, JobResult, Request,
-    Response, ServerLimits, SessionPolicy, SessionUpdate, FRAME_HEADER_LEN, MAX_BATCH_JOBS,
-    MAX_FRAME_LEN, PROTOCOL_MAX, PROTOCOL_MIN, PROTOCOL_V2, PROTOCOL_V3,
+    decode_payload, encode_payload, frame_header, CacheStats, DeltaSpec, FrameAssembler, JobResult,
+    Request, Response, ServerLimits, SessionPolicy, SessionUpdate, MAX_BATCH_JOBS, MAX_FRAME_LEN,
+    PROTOCOL_V3,
 };
 use crate::scheduler::Scheduler;
 use crate::session::{SessionLimits, SessionTable};
@@ -203,8 +200,6 @@ impl ServerState {
     /// The limits advertised to [`Request::Hello`].
     fn server_limits(&self) -> ServerLimits {
         ServerLimits {
-            protocol_min: PROTOCOL_MIN,
-            protocol_max: PROTOCOL_MAX,
             workers: self.scheduler.worker_count() as u64,
             max_pending_jobs: self.admission.max_pending_jobs,
             max_pending_bytes: self.admission.max_pending_bytes,
@@ -361,10 +356,8 @@ enum QueuedBody {
     /// Heavy request (batch / session op): admission-checked at the
     /// head, then dispatched to the scheduler.
     Heavy(Request),
-    /// Typed version-gating rejection, delivered in request order.
-    Reject(Response),
     /// The per-connection in-flight cap was hit at arrival: answer
-    /// `Overloaded` (v3) / `Error` (older) when this reaches the head.
+    /// `Overloaded` when this reaches the head.
     Shed,
 }
 
@@ -376,10 +369,6 @@ struct Conn {
     /// is still owed to the socket.
     out: Vec<u8>,
     out_pos: usize,
-    /// Version replies are framed with: the pinned version once known,
-    /// [`PROTOCOL_MAX`] before.
-    version: u8,
-    pinned: Option<u8>,
     queue: VecDeque<QueuedReq>,
     /// Heavy requests currently queued (not counting the dispatched
     /// one) — the arrival-time half of the per-connection cap.
@@ -387,7 +376,8 @@ struct Conn {
     /// A dispatch is in flight; the queue is paused behind it.
     busy: bool,
     /// Terminal reply to emit once the queue drains, then close
-    /// (version pin violations, desynced framing).
+    /// (unsupported version byte, undecodable payload, desynced
+    /// framing).
     fatal: Option<Response>,
     /// Read side saw EOF or the framing desynced: stop reading.
     read_closed: bool,
@@ -403,8 +393,6 @@ impl Conn {
             assembler: FrameAssembler::new(),
             out: Vec::new(),
             out_pos: 0,
-            version: PROTOCOL_MAX,
-            pinned: None,
             queue: VecDeque::new(),
             heavy_queued: 0,
             busy: false,
@@ -485,6 +473,14 @@ fn retry_hint_ms(queue_depth: u64) -> u64 {
     (10 + queue_depth.saturating_mul(5)).min(2_000)
 }
 
+/// Appends one encoded reply, header first, to the connection's write
+/// buffer.
+fn push_frame(conn: &mut Conn, payload: &[u8]) {
+    conn.out
+        .extend_from_slice(&frame_header(PROTOCOL_V3, payload.len()));
+    conn.out.extend_from_slice(payload);
+}
+
 /// Encodes `msg` and appends it to the connection's write buffer,
 /// recording the encode phase.
 fn append_frame(conn: &mut Conn, msg: &Response, obs: &ServiceObs) {
@@ -492,11 +488,7 @@ fn append_frame(conn: &mut Conn, msg: &Response, obs: &ServiceObs) {
     let payload = encode_payload(msg);
     obs.encode.observe(watch.lap_nanos());
     debug_assert!(payload.len() <= MAX_FRAME_LEN, "server reply oversized");
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[0] = conn.version;
-    header[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    conn.out.extend_from_slice(&header);
-    conn.out.extend_from_slice(&payload);
+    push_frame(conn, &payload);
 }
 
 /// Appends one in-order batch job reply. A legal job can still produce
@@ -520,11 +512,7 @@ fn append_job_frame(
         });
     }
     obs.encode.observe(watch.lap_nanos());
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[0] = conn.version;
-    header[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    conn.out.extend_from_slice(&header);
-    conn.out.extend_from_slice(&payload);
+    push_frame(conn, &payload);
 }
 
 fn record_request(obs: &ServiceObs, kind: ReqKind, watch: &Stopwatch) {
@@ -775,11 +763,6 @@ impl Reactor {
                 }
             };
             match head.body {
-                QueuedBody::Reject(reply) => {
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        append_frame(conn, &reply, &self.state.exec.obs);
-                    }
-                }
                 QueuedBody::Shed => self.shed(id, head.kind, &head.watch),
                 QueuedBody::Inline(request) => self.handle_inline(id, request, &head.watch),
                 QueuedBody::Heavy(request) => {
@@ -798,9 +781,6 @@ impl Reactor {
                         return; // busy now; the queue waits
                     }
                     self.shed(id, head.kind, &head.watch);
-                    if self.conns.get(&id).is_none_or(|c| c.closing) {
-                        return;
-                    }
                 }
             }
         }
@@ -816,18 +796,14 @@ impl Reactor {
         }
     }
 
-    /// Answers a shed request: typed `Overloaded` on v3 (connection
-    /// stays open), `Error` + close on older versions (which cannot
-    /// decode the new tag; `Error` closes by its documented contract).
+    /// Answers a shed request with a typed `Overloaded`; the connection
+    /// stays open.
     fn shed(&mut self, id: u64, kind: ReqKind, watch: &Stopwatch) {
         let depth = self.pending_jobs;
         let obs = &self.state.exec.obs;
         obs.requests_shed.inc();
         record_request(obs, kind, watch);
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
-        };
-        if conn.version >= PROTOCOL_V3 {
+        if let Some(conn) = self.conns.get_mut(&id) {
             append_frame(
                 conn,
                 &Response::Overloaded {
@@ -836,17 +812,6 @@ impl Reactor {
                 },
                 obs,
             );
-        } else {
-            append_frame(
-                conn,
-                &Response::Error(format!(
-                    "server overloaded (queue depth {depth}): retry later"
-                )),
-                obs,
-            );
-            conn.queue.clear();
-            conn.heavy_queued = 0;
-            conn.closing = true;
         }
     }
 
@@ -1181,34 +1146,18 @@ impl Reactor {
     }
 }
 
-/// Pins/validates the frame's version byte, decodes the request, and
-/// queues it on the connection — shedding at arrival if the
-/// per-connection in-flight cap is hit.
-fn ingest_frame(state: &ServerState, conn: &mut Conn, frame_version: u8, payload: Vec<u8>) {
-    let version = match conn.pinned {
-        None => {
-            if !(PROTOCOL_MIN..=PROTOCOL_MAX).contains(&frame_version) {
-                conn.fatal = Some(Response::UnsupportedVersion {
-                    got: frame_version,
-                    min: PROTOCOL_MIN,
-                    max: PROTOCOL_MAX,
-                });
-                conn.read_closed = true;
-                return;
-            }
-            conn.pinned = Some(frame_version);
-            conn.version = frame_version;
-            frame_version
-        }
-        Some(pinned) if frame_version != pinned => {
-            conn.fatal = Some(Response::Error(format!(
-                "connection pinned to protocol version {pinned}, frame carried {frame_version}"
-            )));
-            conn.read_closed = true;
-            return;
-        }
-        Some(pinned) => pinned,
-    };
+/// Checks the frame's version byte, decodes the request, and queues it
+/// on the connection — shedding at arrival if the per-connection
+/// in-flight cap is hit.
+fn ingest_frame(state: &ServerState, conn: &mut Conn, version: u8, payload: Vec<u8>) {
+    if version != PROTOCOL_V3 {
+        conn.fatal = Some(Response::UnsupportedVersion {
+            got: version,
+            supported: PROTOCOL_V3,
+        });
+        conn.read_closed = true;
+        return;
+    }
     let obs = &state.exec.obs;
     // The request clock starts when a complete frame is in hand — time
     // blocked waiting on the client's segmentation is not request
@@ -1224,40 +1173,21 @@ fn ingest_frame(state: &ServerState, conn: &mut Conn, frame_version: u8, payload
     };
     obs.decode.observe(watch.lap_nanos());
     let kind = ReqKind::of(&request);
-    // Version gating is typed and non-fatal: the connection stays
-    // usable for its own pinned surface.
-    let body = if version < PROTOCOL_V2 && request.needs_v2() {
-        QueuedBody::Reject(Response::UnsupportedVersion {
-            got: version,
-            min: PROTOCOL_V2,
-            max: PROTOCOL_MAX,
-        })
-    } else if version < PROTOCOL_V3 && request.needs_v3() {
-        QueuedBody::Reject(Response::UnsupportedVersion {
-            got: version,
-            min: PROTOCOL_V3,
-            max: PROTOCOL_MAX,
-        })
-    } else {
-        match request {
-            Request::Ping
-            | Request::Stats
-            | Request::Shutdown
-            | Request::Metrics
-            | Request::Hello
-            | Request::Release { .. } => QueuedBody::Inline(request),
-            Request::Batch(ref jobs) if jobs.is_empty() => QueuedBody::Inline(request),
-            Request::Batch(_)
-            | Request::Open(_)
-            | Request::Mutate { .. }
-            | Request::Resolve { .. } => {
-                let inflight = conn.heavy_queued + usize::from(conn.busy);
-                if inflight >= state.admission.per_conn_inflight {
-                    QueuedBody::Shed
-                } else {
-                    conn.heavy_queued += 1;
-                    QueuedBody::Heavy(request)
-                }
+    let body = match request {
+        Request::Ping
+        | Request::Stats
+        | Request::Shutdown
+        | Request::Metrics
+        | Request::Hello
+        | Request::Release { .. } => QueuedBody::Inline(request),
+        Request::Batch(ref jobs) if jobs.is_empty() => QueuedBody::Inline(request),
+        Request::Batch(_) | Request::Open(_) | Request::Mutate { .. } | Request::Resolve { .. } => {
+            let inflight = conn.heavy_queued + usize::from(conn.busy);
+            if inflight >= state.admission.per_conn_inflight {
+                QueuedBody::Shed
+            } else {
+                conn.heavy_queued += 1;
+                QueuedBody::Heavy(request)
             }
         }
     };

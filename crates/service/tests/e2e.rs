@@ -2,13 +2,17 @@
 //! mixed batches, and check the serving layer's headline guarantees —
 //! byte-identical response streams across resubmission, concurrent
 //! clients, and 1/2/4 server worker threads; cache hits on repeats;
-//! clean quality accounting; the v2 session protocol (open → mutate →
-//! resolve → release) and version negotiation against v1 clients.
+//! clean quality accounting; the session protocol (open → mutate →
+//! resolve → release); and the typed reject-and-close of frames whose
+//! version byte is not protocol v3.
+
+use std::net::TcpStream;
 
 use arbodom_scenarios::{Algorithm, Family, Scale};
+use arbodom_service::protocol::{decode_payload, read_frame, write_message};
 use arbodom_service::{
-    Client, DeltaSpec, GraphSource, JobSpec, Response, Server, ServerConfig, ServiceError,
-    SessionPolicy, PROTOCOL_V1,
+    Client, DeltaSpec, GraphSource, JobSpec, Request, Response, Server, ServerConfig, ServiceError,
+    SessionPolicy, PROTOCOL_V3,
 };
 
 fn config(workers: usize) -> ServerConfig {
@@ -439,47 +443,70 @@ fn sessions_are_shared_across_connections() {
     server.shutdown();
 }
 
+/// Reads reply frames until the server closes the connection.
+fn replies_until_eof(stream: &mut TcpStream) -> Vec<Response> {
+    let mut replies = Vec::new();
+    loop {
+        match read_frame(stream) {
+            Ok((version, payload)) => {
+                assert_eq!(version, PROTOCOL_V3, "replies are framed as v3");
+                replies.push(decode_payload(&payload).unwrap());
+            }
+            Err(ServiceError::Closed) => return replies,
+            Err(e) => panic!("expected a clean close, got {e}"),
+        }
+    }
+}
+
 #[test]
-fn v1_connections_negotiate_and_are_gated_from_the_session_protocol() {
+fn frames_not_carrying_v3_get_a_typed_reject_then_eof() {
     let server = Server::bind("127.0.0.1:0", config(2)).unwrap();
     let addr = server.local_addr();
+    let jobs = mixed_batch();
+    let mut steady = Client::connect(addr).unwrap();
+    let reference = steady.submit_raw(&jobs).unwrap();
 
-    // A v1 client works for the whole v1 surface...
-    let mut v1 = Client::connect_with_version(addr, PROTOCOL_V1).unwrap();
-    v1.ping().unwrap();
-    v1.stats().unwrap();
-    let replies = v1.submit(&[path_spec(10)]).unwrap();
-    assert!(replies[0].as_ref().unwrap().valid);
+    let concurrent = std::thread::scope(|scope| {
+        let v3 = scope.spawn(|| {
+            let mut client = Client::connect(addr).unwrap();
+            (0..3)
+                .map(|_| client.submit_raw(&jobs).unwrap())
+                .collect::<Vec<_>>()
+        });
 
-    // ...but session requests get a typed UnsupportedVersion naming the
-    // required range, and the connection stays open.
-    let err = v1.open(&path_spec(10)).unwrap_err();
-    match err {
-        ServiceError::UnsupportedVersion { got, min, max } => {
-            assert_eq!(got, PROTOCOL_V1);
-            assert!(min > PROTOCOL_V1 && max >= min);
-        }
-        other => panic!("expected UnsupportedVersion, got {other}"),
+        // (a) A first frame with an unknown version byte.
+        let mut first = TcpStream::connect(addr).unwrap();
+        write_message(&mut first, 9, &Request::Ping).unwrap();
+        assert_eq!(
+            replies_until_eof(&mut first),
+            [Response::UnsupportedVersion {
+                got: 9,
+                supported: PROTOCOL_V3,
+            }]
+        );
+
+        // (b) A valid request, then a frame with an old version byte: the
+        // first is answered, the second rejected, then the server hangs up.
+        let mut later = TcpStream::connect(addr).unwrap();
+        write_message(&mut later, PROTOCOL_V3, &Request::Ping).unwrap();
+        write_message(&mut later, 2, &Request::Ping).unwrap();
+        assert_eq!(
+            replies_until_eof(&mut later),
+            [
+                Response::Pong,
+                Response::UnsupportedVersion {
+                    got: 2,
+                    supported: PROTOCOL_V3,
+                },
+            ]
+        );
+        v3.join().unwrap()
+    });
+
+    // (c) A v3 client running alongside is unaffected.
+    for stream in concurrent {
+        assert_eq!(stream, reference, "v3 replies must stay byte-identical");
     }
-    v1.ping().unwrap();
-    // Batches addressing session snapshots are v2-gated too.
-    let err = v1
-        .submit(&[JobSpec::new(GraphSource::Session { id: 1 })])
-        .unwrap_err();
-    assert!(
-        matches!(err, ServiceError::UnsupportedVersion { .. }),
-        "{err}"
-    );
-    v1.ping().unwrap();
-
-    // A version the server does not speak at all: typed rejection on the
-    // first request, then the server hangs up.
-    let mut future = Client::connect_with_version(addr, 9).unwrap();
-    let err = future.ping().unwrap_err();
-    match err {
-        ServiceError::UnsupportedVersion { got, .. } => assert_eq!(got, 9),
-        other => panic!("expected UnsupportedVersion, got {other}"),
-    }
-    assert!(future.ping().is_err(), "connection must be closed");
+    assert_eq!(steady.submit_raw(&jobs).unwrap(), reference);
     server.shutdown();
 }

@@ -4,7 +4,7 @@
 //! frames, and arbitrary cuts in between. The reactor never controls
 //! how the kernel chunks a stream, so [`FrameAssembler`] must not care.
 
-use arbodom_service::protocol::{encode_payload, write_frame, PROTOCOL_MAX};
+use arbodom_service::protocol::{encode_payload, write_frame, PROTOCOL_V3};
 use arbodom_service::{FrameAssembler, GraphSource, JobSpec, Request, ServiceError};
 use proptest::prelude::*;
 
@@ -55,7 +55,7 @@ fn stream_for(gen: &mut Gen) -> (Vec<u8>, Vec<(u8, Vec<u8>)>) {
     for _ in 0..count {
         // Mixed version bytes on purpose: reassembly is version-agnostic;
         // the connection layer judges the byte, the framing just carries it.
-        let version = 1 + gen.below(u64::from(PROTOCOL_MAX)) as u8;
+        let version = 1 + gen.below(u64::from(PROTOCOL_V3)) as u8;
         let payload = encode_payload(&gen.request());
         write_frame(&mut stream, version, &payload).expect("write to vec");
         expected.push((version, payload));
@@ -123,7 +123,7 @@ proptest! {
         }
         prop_assert_eq!(got, expected.len());
         let declared = (64 << 20) + 1 + gen.below(1 << 30) as u32;
-        let mut header = vec![PROTOCOL_MAX];
+        let mut header = vec![PROTOCOL_V3];
         header.extend_from_slice(&declared.to_le_bytes());
         assembler.push(&header);
         prop_assert!(matches!(

@@ -8,7 +8,7 @@ use arbodom_graph::weights::WeightModel;
 use arbodom_scenarios::quality::RefKind;
 use arbodom_scenarios::{Algorithm, Family};
 use arbodom_service::protocol::{
-    decode_payload, encode_payload, read_frame, write_frame, PROTOCOL_MAX,
+    decode_payload, encode_payload, read_frame, write_frame, PROTOCOL_V3,
 };
 use arbodom_service::{
     CacheStats, DeltaSpec, GraphSource, JobResult, JobSpec, RepairStats, Request, Response,
@@ -255,8 +255,6 @@ impl Gen {
 
     fn server_limits(&mut self) -> ServerLimits {
         ServerLimits {
-            protocol_min: self.u64() as u8,
-            protocol_max: self.u64() as u8,
             workers: self.u64(),
             max_pending_jobs: self.u64(),
             max_pending_bytes: self.u64(),
@@ -317,8 +315,7 @@ impl Gen {
             9 => Response::MetricsReport(self.string()),
             10 => Response::UnsupportedVersion {
                 got: self.u64() as u8,
-                min: self.u64() as u8,
-                max: self.u64() as u8,
+                supported: self.u64() as u8,
             },
             11 => Response::Overloaded {
                 retry_after_ms: self.u64(),
@@ -395,7 +392,7 @@ proptest! {
         let mut gen = Gen(seed);
         let payload = encode_payload(&gen.request());
         let mut buf = Vec::new();
-        write_frame(&mut buf, PROTOCOL_MAX, &payload).unwrap();
+        write_frame(&mut buf, PROTOCOL_V3, &payload).unwrap();
         for keep in 0..buf.len() {
             let err = read_frame(&mut &buf[..keep]).unwrap_err();
             if keep == 0 {
